@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,27 @@ CANONICAL_CASES = [
     ("first-witt-special", "--dim-q", "10"),
     ("first-witt-special", "--dim-q", "8"),
 ]
+
+
+# Exact exit code, stdout and stderr per argv, recorded from the CLI before
+# its command table was introduced: every CANONICAL_CASES argv in human and
+# --json form, --help for every group and leaf, and a set of usage and
+# domain errors.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(case, monkeypatch):
+    # argparse wraps help and usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(*case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_golden_covers_canonical_cases():
+    pinned = {tuple(case["argv"]) for case in GOLDEN}
+    for argv in CANONICAL_CASES:
+        assert argv in pinned
+        assert (*argv, "--json") in pinned
 
 
 class TestEnvelope:
