@@ -3,7 +3,9 @@
 Every command prints an envelope {command, status, payload, version}.  With
 --json the envelope is canonical single-line JSON (sorted keys, compact
 separators), so parsing and reserializing it is byte-identical.  Exit codes:
-0 for ok, 1 when a verified identity fails, 2 for usage or domain errors.
+0 for ok, 1 when a verified identity fails, 2 for usage or domain errors,
+where an argument too large to compute with (OverflowError, MemoryError)
+counts as a domain error.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import is_dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import HermquadError
 from .motives import (
-    MotiveExpression,
     decompose_hermitian,
     decompose_quadric,
     expand_projective_bundle,
@@ -35,6 +37,7 @@ from .quadforms import (
     DiagonalQuadraticForm,
     HermitianSpace,
     Place,
+    SquareClass,
     determinant_class,
     essential_dimension,
     first_witt_index_special,
@@ -65,24 +68,21 @@ VERSION = "1"
 _EXIT = {"ok": 0, "violated": 1, "error": 2}
 
 
-def _int_at_least(lo: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}")
-        return value
-
-    return parse
-
-
 def _plain_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        value = _plain_int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}")
+        return value
+
+    return parse
 
 
 def _rational(text: str) -> Fraction:
@@ -95,11 +95,19 @@ def _rational(text: str) -> Fraction:
     return value
 
 
-def _entry_list(text: str) -> list[Fraction]:
+def _entry_list(text: str) -> tuple[Fraction, ...]:
     parts = [part.strip() for part in text.split(",")]
     if not parts or any(not part for part in parts):
         raise argparse.ArgumentTypeError("expected comma-separated nonzero rationals")
-    return [_rational(part) for part in parts]
+    return tuple(_rational(part) for part in parts)
+
+
+def _square_class(text: str) -> SquareClass:
+    return normalize_square_class(_rational(text))
+
+
+def _diagonal_form(text: str) -> DiagonalQuadraticForm:
+    return DiagonalQuadraticForm.from_rationals(_entry_list(text))
 
 
 def _place(text: str) -> Place:
@@ -135,6 +143,12 @@ def _jsonable(value):
         return list(value.coefficients)
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, SquareClass):
+        return value.value
+    if isinstance(value, Place):
+        return str(value)
+    if is_dataclass(value):
+        return _jsonable(vars(value))
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -143,8 +157,6 @@ def _jsonable(value):
 
 
 def _human_value(value) -> str:
-    if isinstance(value, IntPolynomial):
-        return str(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -154,314 +166,354 @@ def _human_value(value) -> str:
     return str(value)
 
 
-def _expression_payload(expr: MotiveExpression) -> list[dict]:
+class _Arg:
+    """One add_argument call; calling it copies it with keywords replaced."""
+
+    def __init__(self, *flags: str, **kwargs):
+        self.flags, self.kwargs = flags, kwargs
+
+    def __call__(self, **kwargs) -> "_Arg":
+        return _Arg(*self.flags, **{**self.kwargs, **kwargs})
+
+
+# options more than one leaf takes, in the form most leaves require them
+RANK = _Arg("--n", type=_int_at_least(2), required=True)
+QDIAG = _Arg(
+    "--qdiag", dest="form", type=_diagonal_form, required=True, metavar="A1,A2,..."
+)
+HERMITIAN_DIAG = _Arg("--b", type=_entry_list, required=True, metavar="B1,B2,...")
+PLACE = _Arg("--place", type=_place, required=True, metavar="real|P")
+EXTENSION = _Arg("--a", type=_square_class, required=True)
+# a list among a leaf's specs is an either-or group, exactly one required
+RANK_OR_RANGE = [RANK(required=False), _Arg("--range", type=_span, metavar="A..B")]
+
+
+# variety -> (the parameter it takes, its decomposition, its closed form)
+_VARIETIES = {
+    "quadric": ("n", decompose_quadric, poincare_split_quadric),
+    "hermitian": ("n", decompose_hermitian, poincare_split_hermitian),
+    "projective": ("m", expand_projective_bundle, lambda m: poincare_projective(m, 1)),
+}
+
+
+def _variety_args(n_help: Optional[str] = None, m_help: Optional[str] = None):
     return [
-        {"base": base.kind, "params": list(base.params), "shift": shift}
-        for base, shift in expr
+        _Arg("--variety", choices=list(_VARIETIES), required=True),
+        RANK(required=False, help=n_help),
+        _Arg("--m", type=_int_at_least(0), help=m_help),
     ]
 
 
-def _form_from(args) -> DiagonalQuadraticForm:
-    return DiagonalQuadraticForm.from_rationals(args.qdiag)
+def _variety(args):
+    """Payload head, parameter, decomposition and closed form of the variety."""
+    key, decompose, closed = _VARIETIES[args.variety]
+    value = getattr(args, key)
+    if value is None:
+        args.leaf.error(f"--{key} is required for --variety {args.variety}")
+    return {"variety": args.variety, key: value}, value, decompose, closed
 
 
-# Each handler returns (payload, status).
+_GROUPS = {
+    "motive": "motivic decompositions and identities",
+    "rost": "Rost numbers and incompressibility",
+    "form": "quadratic form arithmetic over Q",
+}
+
+# "[group ]leaf" -> (help, argument specs, handler returning (payload, holds)),
+# in the order help lists them; holds=False marks a violated identity
+_COMMANDS: dict[str, tuple] = {}
 
 
-def _cmd_poincare(args):
+def _command(name: str, summary: str, *specs):
+    def register(handler):
+        _COMMANDS[name] = (summary, specs, handler)
+        return handler
+
+    return register
+
+
+def _hermitian_payload(space: HermitianSpace) -> dict:
+    return {"a": space.a, "b": space.entries, "trace_form": trace_form(space).entries}
+
+
+@_command(
+    "poincare",
+    "split Poincare polynomial of a variety",
+    *_variety_args("rank, at least 2", "projective dimension"),
+    _Arg(
+        "--point-factor",
+        type=int,
+        choices=[1, 2],
+        default=2,
+        help="cell multiplicity for projective space (default 2)",
+    ),
+)
+def _poincare(args):
+    payload, value, _, closed = _variety(args)
     if args.variety == "projective":
-        if args.m is None:
-            args.leaf.error("--m is required for --variety projective")
-        poly = poincare_projective(args.m, args.point_factor)
-        payload = {
-            "variety": "projective",
-            "m": args.m,
-            "point_factor": args.point_factor,
-        }
+        payload["point_factor"] = args.point_factor
+        poly = poincare_projective(value, args.point_factor)
     else:
-        if args.n is None:
-            args.leaf.error(f"--n is required for --variety {args.variety}")
-        if args.variety == "quadric":
-            poly = poincare_split_quadric(args.n)
-        else:
-            poly = poincare_split_hermitian(args.n)
-        payload = {"variety": args.variety, "n": args.n}
-    payload.update(
-        {"polynomial": poly, "degree": poly.degree, "value_at_1": poly.evaluate(1)}
-    )
-    return payload, "ok"
+        poly = closed(value)
+    payload.update(polynomial=poly, degree=poly.degree, value_at_1=poly.evaluate(1))
+    return payload, True
 
 
-def _cmd_motive_decompose(args):
-    if args.variety == "projective":
-        if args.m is None:
-            args.leaf.error("--m is required for --variety projective")
-        expr = expand_projective_bundle(args.m)
-        closed = poincare_projective(args.m, 1)
-        payload = {"variety": "projective", "m": args.m}
-    else:
-        if args.n is None:
-            args.leaf.error(f"--n is required for --variety {args.variety}")
-        if args.variety == "quadric":
-            expr = decompose_quadric(args.n)
-            closed = poincare_split_quadric(args.n)
-        else:
-            expr = decompose_hermitian(args.n)
-            closed = poincare_split_hermitian(args.n)
-        payload = {"variety": args.variety, "n": args.n}
+@_command(
+    "motive decompose",
+    "direct-sum decomposition with its realization",
+    *_variety_args(),
+)
+def _motive_decompose(args):
+    payload, value, decompose, closed_form = _variety(args)
+    expr, closed = decompose(value), closed_form(value)
     realization = realize_split(expr)
-    matches = realization == closed
     payload.update(
-        {
-            "summands": _expression_payload(expr),
-            "realization": realization,
-            "closed_form": closed,
-            "matches": matches,
-        }
+        summands=[
+            {"base": base.kind, "params": list(base.params), "shift": shift}
+            for base, shift in expr
+        ],
+        realization=realization,
+        closed_form=closed,
+        matches=realization == closed,
     )
-    return payload, "ok" if matches else "violated"
+    return payload, payload["matches"]
 
 
-def _cmd_motive_nh(args):
+@_command("motive nh", "Poincare polynomial of the shared core summand", RANK)
+def _motive_nh(args):
     poly = solve_core(args.n)
-    return {"n": args.n, "core": poly, "degree": poly.degree}, "ok"
+    return {"n": args.n, "core": poly, "degree": poly.degree}, True
 
 
-def _cmd_verify_krashen(args):
-    if args.span is not None:
-        lo, hi = args.span
-        for n in range(lo, hi + 1):
-            report = verify_krashen(n)
-            if not report.holds:
-                payload = {
-                    "range": [lo, hi],
-                    "checked": n - lo + 1,
-                    "holds": False,
-                    "first_counterexample": {
-                        "n": n,
-                        "lhs": report.lhs,
-                        "rhs": report.rhs,
-                    },
-                }
-                return payload, "violated"
-        payload = {
-            "range": [lo, hi],
-            "checked": hi - lo + 1,
-            "holds": True,
-            "first_counterexample": None,
-        }
-        return payload, "ok"
-    report = verify_krashen(args.n)
+@_command(
+    "motive verify-krashen",
+    "check the quadric / hermitian quadric identity",
+    RANK_OR_RANGE,
+)
+def _verify_krashen(args):
+    if args.range is None:
+        report = verify_krashen(args.n)
+        return vars(report), report.holds
+    lo, hi = args.range
+    for n in range(lo, hi + 1):
+        report = verify_krashen(n)
+        if not report.holds:
+            break
+    counterexample = {k: v for k, v in vars(report).items() if k != "holds"}
     payload = {
-        "n": report.n,
+        "range": [lo, hi],
+        "checked": n - lo + 1,
         "holds": report.holds,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
+        "first_counterexample": None if report.holds else counterexample,
     }
-    return payload, "ok" if report.holds else "violated"
+    return payload, report.holds
 
 
-def _cmd_vishik(args):
+@_command(
+    "motive vishik",
+    "solve for the tensor factor of a Pfister multiple",
+    _Arg("--m", type=_int_at_least(1), required=True),
+    _Arg("--k", type=_int_at_least(1), required=True),
+)
+def _vishik(args):
     report = vishik_solve(args.m, args.k)
-    payload = {
-        "m": report.m,
-        "k": report.k,
-        "core": report.core,
-        "holds": report.holds,
-        "degenerate": report.degenerate,
-        "matches_core": report.matches_core,
-    }
-    return payload, "ok" if report.holds else "violated"
+    return vars(report), report.holds
 
 
-def _cmd_rost_eta2(args):
-    if args.span is not None:
-        lo, hi = args.span
-        bad = congruence_counterexample(lo, hi)
+@_command(
+    "rost eta2",
+    "parity of the Rost number, with the dimension congruence",
+    RANK_OR_RANGE,
+)
+def _rost_eta2(args):
+    if args.range is None:
         payload = {
-            "range": [lo, hi],
-            "checked": hi - lo + 1 if bad is None else bad - lo + 1,
-            "congruence_holds": bad is None,
-            "first_counterexample": bad,
+            "n": args.n,
+            "eta2_parity": eta2_parity(args.n),
+            "central_binom_valuation": central_binom_valuation(args.n - 1),
+            "is_power_case": is_power_case(args.n),
+            "congruence_holds": congrel_equivalence(args.n),
         }
-        return payload, "ok" if bad is None else "violated"
-    n = args.n
-    holds = congrel_equivalence(n)
+        return payload, payload["congruence_holds"]
+    lo, hi = args.range
+    bad = congruence_counterexample(lo, hi)
     payload = {
-        "n": n,
-        "eta2_parity": eta2_parity(n),
-        "central_binom_valuation": central_binom_valuation(n - 1),
-        "is_power_case": is_power_case(n),
-        "congruence_holds": holds,
+        "range": [lo, hi],
+        "checked": (hi if bad is None else bad) - lo + 1,
+        "congruence_holds": bad is None,
+        "first_counterexample": bad,
     }
-    return payload, "ok" if holds else "violated"
+    return payload, bad is None
 
 
-def _cmd_rost_incompressible(args):
+@_command(
+    "rost incompressible",
+    "incompressibility verdict for a hermitian quadric",
+    RANK,
+    _Arg(
+        "--isotropic",
+        action="store_true",
+        help="treat the space as isotropic (default anisotropic)",
+    ),
+)
+def _rost_incompressible(args):
     report = incompressibility_verdict(args.n, not args.isotropic)
-    payload = {
-        "n": report.n,
-        "dim_vh": report.dim_vh,
-        "anisotropic": not args.isotropic,
-        "eta2_parity": report.eta2_parity,
-        "is_power_case": report.is_power_case,
-        "point_gcd": report.point_gcd,
-        "verdict": report.verdict,
-    }
-    return payload, "ok"
+    items = list(vars(report).items())
+    items.insert(2, ("anisotropic", not args.isotropic))  # right after dim_vh
+    return dict(items), True
 
 
-def _cmd_rost_degree_filter(args):
+@_command("rost degree-filter", "degrees mod 2 allowed by the degree formula", RANK)
+def _rost_degree_filter(args):
     residues = degree_formula_filter(args.n)
+    forced_odd = residues == frozenset({1})
+    return {"n": args.n, "residues": sorted(residues), "forced_odd": forced_odd}, True
+
+
+@_command(
+    "form trace",
+    "quadratic form underlying a hermitian space",
+    EXTENSION,
+    HERMITIAN_DIAG,
+)
+def _form_trace(args):
+    payload = _hermitian_payload(HermitianSpace(args.a, args.b))
+    payload["dim"] = len(payload["trace_form"])
+    return payload, True
+
+
+@_command("form det", "determinant square class", QDIAG)
+def _form_det(args):
+    det = determinant_class(args.form)
+    return {"entries": args.form.entries, "determinant_class": det}, True
+
+
+@_command(
+    "form hilbert",
+    "Hilbert symbol at one place",
+    _Arg("--x", type=_square_class, required=True),
+    _Arg("--y", type=_square_class, required=True),
+    PLACE,
+)
+def _form_hilbert(args):
+    symbol = hilbert_symbol(args.x, args.y, args.place)
+    return {"x": args.x, "y": args.y, "place": args.place, "symbol": symbol}, True
+
+
+@_command("form hasse", "Hasse invariant at one place", QDIAG, PLACE)
+def _form_hasse(args):
     payload = {
-        "n": args.n,
-        "residues": sorted(residues),
-        "forced_odd": residues == frozenset({1}),
+        "entries": args.form.entries,
+        "place": args.place,
+        "hasse_invariant": hasse_invariant(args.form, args.place),
     }
-    return payload, "ok"
+    return payload, True
 
 
-def _cmd_form_trace(args):
-    space = HermitianSpace.from_rationals(args.a, args.b)
-    form = trace_form(space)
-    payload = {
-        "a": space.a.value,
-        "b": [str(b) for b in space.entries],
-        "trace_form": [entry.value for entry in form.entries],
-        "dim": form.dim,
-    }
-    return payload, "ok"
-
-
-def _cmd_form_det(args):
-    form = _form_from(args)
-    payload = {
-        "entries": [entry.value for entry in form.entries],
-        "determinant_class": determinant_class(form).value,
-    }
-    return payload, "ok"
-
-
-def _cmd_form_hilbert(args):
-    x = normalize_square_class(args.x)
-    y = normalize_square_class(args.y)
-    payload = {
-        "x": x.value,
-        "y": y.value,
-        "place": str(args.place),
-        "symbol": hilbert_symbol(x, y, args.place),
-    }
-    return payload, "ok"
-
-
-def _cmd_form_hasse(args):
-    form = _form_from(args)
-    payload = {
-        "entries": [entry.value for entry in form.entries],
-        "place": str(args.place),
-        "hasse_invariant": hasse_invariant(form, args.place),
-    }
-    return payload, "ok"
-
-
-def _cmd_form_witt_index(args):
-    form = _form_from(args)
-    entries = [entry.value for entry in form.entries]
+@_command(
+    "form witt-index",
+    "Witt index, global or at one place",
+    QDIAG,
+    PLACE(required=False),
+)
+def _form_witt_index(args):
+    form = args.form
     if args.place is not None:
-        payload = {
-            "entries": entries,
-            "place": str(args.place),
-            "witt_index": local_witt_index(form, args.place),
-        }
-        return payload, "ok"
-    locals_ = [
-        {"place": str(v), "witt_index": local_witt_index(form, v)}
-        for v in relevant_places(form)
-    ]
+        index = local_witt_index(form, args.place)
+        return {"entries": form.entries, "place": args.place, "witt_index": index}, True
     payload = {
-        "entries": entries,
+        "entries": form.entries,
         "witt_index": global_witt_index(form),
-        "local_indices": locals_,
-    }
-    return payload, "ok"
-
-
-def _cmd_form_isotropic(args):
-    if args.qdiag is not None:
-        if args.a is not None or args.b is not None:
-            args.leaf.error("give either --qdiag or --a with --b, not both")
-        form = _form_from(args)
-        payload = {
-            "entries": [entry.value for entry in form.entries],
-            "isotropic": is_isotropic_global(form),
-            "witt_index": global_witt_index(form),
-        }
-        return payload, "ok"
-    if args.a is None or args.b is None:
-        args.leaf.error("give either --qdiag or --a with --b")
-    space = HermitianSpace.from_rationals(args.a, args.b)
-    form = trace_form(space)
-    payload = {
-        "a": space.a.value,
-        "b": [str(b) for b in space.entries],
-        "trace_form": [entry.value for entry in form.entries],
-        "anisotropic": is_anisotropic_hermitian(space),
-    }
-    return payload, "ok"
-
-
-def _cmd_form_hyperbolic_over(args):
-    form = _form_from(args)
-    a = normalize_square_class(args.a)
-    payload = {
-        "entries": [entry.value for entry in form.entries],
-        "a": a.value,
-        "hyperbolic": is_hyperbolic_over_extension(form, a),
-    }
-    return payload, "ok"
-
-
-def _cmd_form_check_mh(args):
-    form = _form_from(args)
-    a = normalize_square_class(args.a)
-    report = milnor_husemoller_check(form, a)
-    payload = {
-        "entries": [entry.value for entry in form.entries],
-        "a": a.value,
-        "dim_ok": report.dim_ok,
-        "hyperbolic_over_L": report.hyperbolic_over_l,
-        "det_ok": report.det_ok,
-        "passes": report.passes,
-        "witnesses": [
-            {"place": w.place, "clause": w.clause} for w in report.witnesses
+        "local_indices": [
+            {"place": v, "witt_index": local_witt_index(form, v)}
+            for v in relevant_places(form)
         ],
     }
-    return payload, "ok" if report.passes else "violated"
+    return payload, True
 
 
-def _cmd_essdim(args):
-    value = essential_dimension(args.n, args.i1)
+@_command(
+    "form isotropic",
+    "rational isotropy of a form, or anisotropy of a hermitian space",
+    QDIAG(required=False),
+    EXTENSION(required=False),
+    HERMITIAN_DIAG(required=False),
+)
+def _form_isotropic(args):
+    if args.form is not None:
+        if args.a is not None or args.b is not None:
+            args.leaf.error("give either --qdiag or --a with --b, not both")
+        payload = {
+            "entries": args.form.entries,
+            "isotropic": is_isotropic_global(args.form),
+            "witt_index": global_witt_index(args.form),
+        }
+        return payload, True
+    if args.a is None or args.b is None:
+        args.leaf.error("give either --qdiag or --a with --b")
+    space = HermitianSpace(args.a, args.b)
+    payload = _hermitian_payload(space)
+    payload["anisotropic"] = is_anisotropic_hermitian(space)
+    return payload, True
+
+
+@_command(
+    "form hyperbolic-over",
+    "does the form become hyperbolic over Q(sqrt a)",
+    QDIAG,
+    EXTENSION,
+)
+def _form_hyperbolic_over(args):
+    hyperbolic = is_hyperbolic_over_extension(args.form, args.a)
+    return {"entries": args.form.entries, "a": args.a, "hyperbolic": hyperbolic}, True
+
+
+@_command(
+    "form check-mh",
+    "criterion for underlying a hermitian form over Q(sqrt a)",
+    QDIAG,
+    EXTENSION,
+)
+def _form_check_mh(args):
+    report = milnor_husemoller_check(args.form, args.a)
+    payload = {"entries": args.form.entries, "a": args.a}
+    for key, value in vars(report).items():
+        # the payload names the extension L in upper case
+        payload["hyperbolic_over_L" if key == "hyperbolic_over_l" else key] = value
+    return payload, report.passes
+
+
+@_command(
+    "essdim",
+    "essential dimension from rank and first Witt index",
+    RANK,
+    _Arg("--i1", type=_int_at_least(1), required=True),
+)
+def _essdim(args):
     payload = {
         "n": args.n,
         "i1": args.i1,
         "dim_vh": 2 * args.n - 3,
-        "essential_dimension": value,
+        "essential_dimension": essential_dimension(args.n, args.i1),
     }
-    return payload, "ok"
+    return payload, True
 
 
-def _cmd_first_witt_special(args):
+@_command(
+    "first-witt-special",
+    "first Witt index for dimensions of the shape 2^r + 2",
+    _Arg("--dim-q", type=_plain_int, required=True),
+)
+def _first_witt_special(args):
     value = first_witt_index_special(args.dim_q)
-    return {"dim_q": args.dim_q, "first_witt_index": value}, "ok"
+    return {"dim_q": args.dim_q, "first_witt_index": value}, True
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit the envelope as canonical JSON",
+        "--json", action="store_true", help="emit the envelope as canonical JSON"
     )
 
     parser = argparse.ArgumentParser(
@@ -469,225 +521,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of quadrics, hermitian quadrics and rational quadratic forms.",
     )
     top = parser.add_subparsers(dest="group", required=True, metavar="command")
-
-    def leaf(sub, name, handler, command_name, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler, command_name=command_name)
-        p.set_defaults(leaf=p)
-        return p
-
-    p = leaf(
-        top,
-        "poincare",
-        _cmd_poincare,
-        "poincare",
-        help="split Poincare polynomial of a variety",
-    )
-    p.add_argument(
-        "--variety", choices=["quadric", "hermitian", "projective"], required=True
-    )
-    p.add_argument("--n", type=_int_at_least(2), help="rank, at least 2")
-    p.add_argument("--m", type=_int_at_least(0), help="projective dimension")
-    p.add_argument(
-        "--point-factor",
-        dest="point_factor",
-        type=int,
-        choices=[1, 2],
-        default=2,
-        help="cell multiplicity for projective space (default 2)",
-    )
-
-    motive = top.add_parser("motive", help="motivic decompositions and identities")
-    motive_sub = motive.add_subparsers(
-        dest="subcommand", required=True, metavar="subcommand"
-    )
-
-    p = leaf(
-        motive_sub,
-        "decompose",
-        _cmd_motive_decompose,
-        "motive decompose",
-        help="direct-sum decomposition with its realization",
-    )
-    p.add_argument(
-        "--variety", choices=["quadric", "hermitian", "projective"], required=True
-    )
-    p.add_argument("--n", type=_int_at_least(2))
-    p.add_argument("--m", type=_int_at_least(0))
-
-    p = leaf(
-        motive_sub,
-        "nh",
-        _cmd_motive_nh,
-        "motive nh",
-        help="Poincare polynomial of the shared core summand",
-    )
-    p.add_argument("--n", type=_int_at_least(2), required=True)
-
-    p = leaf(
-        motive_sub,
-        "verify-krashen",
-        _cmd_verify_krashen,
-        "motive verify-krashen",
-        help="check the quadric / hermitian quadric identity",
-    )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_int_at_least(2))
-    group.add_argument("--range", dest="span", type=_span, metavar="A..B")
-
-    p = leaf(
-        motive_sub,
-        "vishik",
-        _cmd_vishik,
-        "motive vishik",
-        help="solve for the tensor factor of a Pfister multiple",
-    )
-    p.add_argument("--m", type=_int_at_least(1), required=True)
-    p.add_argument("--k", type=_int_at_least(1), required=True)
-
-    rost = top.add_parser("rost", help="Rost numbers and incompressibility")
-    rost_sub = rost.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-
-    p = leaf(
-        rost_sub,
-        "eta2",
-        _cmd_rost_eta2,
-        "rost eta2",
-        help="parity of the Rost number, with the dimension congruence",
-    )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_int_at_least(2))
-    group.add_argument("--range", dest="span", type=_span, metavar="A..B")
-
-    p = leaf(
-        rost_sub,
-        "incompressible",
-        _cmd_rost_incompressible,
-        "rost incompressible",
-        help="incompressibility verdict for a hermitian quadric",
-    )
-    p.add_argument("--n", type=_int_at_least(2), required=True)
-    p.add_argument(
-        "--isotropic",
-        action="store_true",
-        help="treat the space as isotropic (default anisotropic)",
-    )
-
-    p = leaf(
-        rost_sub,
-        "degree-filter",
-        _cmd_rost_degree_filter,
-        "rost degree-filter",
-        help="degrees mod 2 allowed by the degree formula",
-    )
-    p.add_argument("--n", type=_int_at_least(2), required=True)
-
-    form = top.add_parser("form", help="quadratic form arithmetic over Q")
-    form_sub = form.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-
-    p = leaf(
-        form_sub,
-        "trace",
-        _cmd_form_trace,
-        "form trace",
-        help="quadratic form underlying a hermitian space",
-    )
-    p.add_argument("--a", type=_rational, required=True)
-    p.add_argument("--b", type=_entry_list, required=True, metavar="B1,B2,...")
-
-    p = leaf(form_sub, "det", _cmd_form_det, "form det", help="determinant square class")
-    p.add_argument("--qdiag", type=_entry_list, required=True, metavar="A1,A2,...")
-
-    p = leaf(
-        form_sub,
-        "hilbert",
-        _cmd_form_hilbert,
-        "form hilbert",
-        help="Hilbert symbol at one place",
-    )
-    p.add_argument("--x", type=_rational, required=True)
-    p.add_argument("--y", type=_rational, required=True)
-    p.add_argument("--place", type=_place, required=True, metavar="real|P")
-
-    p = leaf(
-        form_sub,
-        "hasse",
-        _cmd_form_hasse,
-        "form hasse",
-        help="Hasse invariant at one place",
-    )
-    p.add_argument("--qdiag", type=_entry_list, required=True, metavar="A1,A2,...")
-    p.add_argument("--place", type=_place, required=True, metavar="real|P")
-
-    p = leaf(
-        form_sub,
-        "witt-index",
-        _cmd_form_witt_index,
-        "form witt-index",
-        help="Witt index, global or at one place",
-    )
-    p.add_argument("--qdiag", type=_entry_list, required=True, metavar="A1,A2,...")
-    p.add_argument("--place", type=_place, metavar="real|P")
-
-    p = leaf(
-        form_sub,
-        "isotropic",
-        _cmd_form_isotropic,
-        "form isotropic",
-        help="rational isotropy of a form, or anisotropy of a hermitian space",
-    )
-    p.add_argument("--qdiag", type=_entry_list, metavar="A1,A2,...")
-    p.add_argument("--a", type=_rational)
-    p.add_argument("--b", type=_entry_list, metavar="B1,B2,...")
-
-    p = leaf(
-        form_sub,
-        "hyperbolic-over",
-        _cmd_form_hyperbolic_over,
-        "form hyperbolic-over",
-        help="does the form become hyperbolic over Q(sqrt a)",
-    )
-    p.add_argument("--qdiag", type=_entry_list, required=True, metavar="A1,A2,...")
-    p.add_argument("--a", type=_rational, required=True)
-
-    p = leaf(
-        form_sub,
-        "check-mh",
-        _cmd_form_check_mh,
-        "form check-mh",
-        help="criterion for underlying a hermitian form over Q(sqrt a)",
-    )
-    p.add_argument("--qdiag", type=_entry_list, required=True, metavar="A1,A2,...")
-    p.add_argument("--a", type=_rational, required=True)
-
-    p = leaf(
-        top,
-        "essdim",
-        _cmd_essdim,
-        "essdim",
-        help="essential dimension from rank and first Witt index",
-    )
-    p.add_argument("--n", type=_int_at_least(2), required=True)
-    p.add_argument("--i1", type=_int_at_least(1), required=True)
-
-    p = leaf(
-        top,
-        "first-witt-special",
-        _cmd_first_witt_special,
-        "first-witt-special",
-        help="first Witt index for dimensions of the shape 2^r + 2",
-    )
-    p.add_argument("--dim-q", dest="dim_q", type=_plain_int, required=True)
-
+    subparsers = {"": top}
+    for name, (summary, specs, handler) in _COMMANDS.items():
+        group, _, leaf_name = name.rpartition(" ")
+        if group not in subparsers:
+            group_parser = top.add_parser(group, help=_GROUPS[group])
+            subparsers[group] = group_parser.add_subparsers(
+                dest="subcommand", required=True, metavar="subcommand"
+            )
+        leaf = subparsers[group].add_parser(leaf_name, parents=[common], help=summary)
+        leaf.set_defaults(handler=handler, command_name=name, leaf=leaf)
+        for spec in specs:
+            if isinstance(spec, list):
+                either = leaf.add_mutually_exclusive_group(required=True)
+                for option in spec:
+                    either.add_argument(*option.flags, **option.kwargs)
+            else:
+                leaf.add_argument(*spec.flags, **spec.kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        payload, status = args.handler(args)
-    except HermquadError as err:
+        payload, holds = args.handler(args)
+        status = "ok" if holds else "violated"
+    except (HermquadError, OverflowError, MemoryError) as err:
         payload = {"error": type(err).__name__, "message": str(err)}
         status = "error"
     envelope = {
@@ -696,7 +555,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "payload": payload,
         "version": VERSION,
     }
-    if args.as_json:
+    if args.json:
         print(json.dumps(_jsonable(envelope), sort_keys=True, separators=(",", ":")))
     else:
         print(f"command: {args.command_name}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InconsistentDecomposition, InvalidRank, NonExactDivision
 from .poly import (
@@ -25,17 +25,18 @@ from .poly import (
     poincare_split_quadric,
 )
 
-# kind -> number of integer parameters
-_ARITY = {
-    "tate": 0,
-    "spec_l": 0,
-    "proj_l": 1,
-    "proj_f": 1,
-    "split_quadric": 1,
-    "hermitian_quadric": 1,
-    "core": 1,
-    "vishik_core": 2,
-    "pfister_quadric": 1,
+# kind -> (number of integer parameters, realizer taking those parameters);
+# solve_core and vishik_solve are looked up at call time, further down
+_KINDS = {
+    "tate": (0, lambda: IntPolynomial([1])),
+    "spec_l": (0, lambda: IntPolynomial([2])),
+    "proj_l": (1, lambda m: poincare_projective(m, 2)),
+    "proj_f": (1, lambda m: poincare_projective(m, 1)),
+    "split_quadric": (1, poincare_split_quadric),
+    "hermitian_quadric": (1, poincare_split_hermitian),
+    "core": (1, lambda n: solve_core(n)),
+    "vishik_core": (2, lambda m, k: _realize_vishik_core(m, k)),
+    "pfister_quadric": (1, lambda m: poincare_quadric_of_dim(2**m - 2)),
 }
 
 
@@ -47,11 +48,12 @@ class MotiveBase:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown motive kind {self.kind!r}")
-        if len(self.params) != _ARITY[self.kind]:
+        arity = _KINDS[self.kind][0]
+        if len(self.params) != arity:
             raise ValueError(
-                f"{self.kind} takes {_ARITY[self.kind]} parameter(s), got {self.params!r}"
+                f"{self.kind} takes {arity} parameter(s), got {self.params!r}"
             )
 
 
@@ -143,31 +145,14 @@ class MotiveExpression:
 
 def realize_base(base: MotiveBase) -> IntPolynomial:
     """Split Poincare polynomial of a single summand."""
-    kind, params = base.kind, base.params
-    if kind == "tate":
-        return IntPolynomial([1])
-    if kind == "spec_l":
-        return IntPolynomial([2])
-    if kind == "proj_l":
-        return poincare_projective(params[0], 2)
-    if kind == "proj_f":
-        return poincare_projective(params[0], 1)
-    if kind == "split_quadric":
-        return poincare_split_quadric(params[0])
-    if kind == "hermitian_quadric":
-        return poincare_split_hermitian(params[0])
-    if kind == "core":
-        return solve_core(params[0])
-    if kind == "pfister_quadric":
-        return poincare_quadric_of_dim(2 ** params[0] - 2)
-    if kind == "vishik_core":
-        report = vishik_solve(*params)
-        if report.core is None:
-            raise InconsistentDecomposition(
-                f"vishik core ({params[0]}, {params[1]}) has no realization"
-            )
-        return report.core
-    raise ValueError(f"unknown motive kind {kind!r}")
+    return _KINDS[base.kind][1](*base.params)
+
+
+def _realize_vishik_core(m: int, k: int) -> IntPolynomial:
+    report = vishik_solve(m, k)
+    if report.core is None:
+        raise InconsistentDecomposition(f"vishik core ({m}, {k}) has no realization")
+    return report.core
 
 
 def realize_split(expr: MotiveExpression) -> IntPolynomial:

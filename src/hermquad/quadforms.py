@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import InvalidExtension, InvalidRank, UnsupportedDimension, ZeroValue
 
@@ -446,6 +446,9 @@ def essential_dimension(n: int, i1: int) -> int:
         raise InvalidRank(f"rank n must be at least 2, got {n}")
     if i1 < 1:
         raise InvalidRank(f"first Witt index must be at least 1, got {i1}")
+    if i1 > n:
+        # the trace form has dimension 2n, so its Witt index is at most n
+        raise InvalidRank(f"first Witt index must be at most n = {n}, got {i1}")
     return (2 * n - 3) - i1 + 2
 
 

@@ -49,8 +49,7 @@ def congrel_equivalence(n: int) -> bool:
     """
     if n < 2:
         raise InvalidRank(f"rank n must be at least 2, got {n}")
-    dim = 2 * n - 3
-    return ((n - 1).bit_count() == 1) == (dim & (dim + 1) == 0)
+    return congruence_counterexample(n, n) is None
 
 
 def congruence_counterexample(lo: int, hi: int) -> int | None:

@@ -353,6 +353,19 @@ class TestErrorPaths:
         assert code == 2
         assert parsed["payload"]["error"] == "InvalidExtension"
 
+    def test_arithmetic_overflow_is_error_envelope(self):
+        code, out, err = run_cli("motive", "vishik", "--m", "100", "--k", "2", "--json")
+        parsed = json.loads(out)
+        assert code == 2
+        assert parsed["status"] == "error"
+        assert parsed["payload"]["error"] == "OverflowError"
+        assert err == ""
+
+    def test_witt_index_above_rank_is_domain_error(self):
+        code, parsed = run_json("essdim", "--n", "2", "--i1", "5")
+        assert code == 2
+        assert parsed["payload"]["error"] == "InvalidRank"
+
     def test_usage_errors_exit_2(self):
         assert run_cli()[0] == 2
         assert run_cli("poincare", "--variety", "hermitian", "--n", "1")[0] == 2

@@ -2,6 +2,7 @@ import pytest
 
 from hermquad.errors import InvalidRank
 from hermquad.motives import (
+    MotiveBase,
     MotiveExpression,
     core,
     decompose_hermitian,
@@ -9,6 +10,7 @@ from hermquad.motives import (
     expand_projective_bundle,
     hermitian_quadric,
     pfister_quadric,
+    proj_f,
     proj_l,
     realize_base,
     realize_split,
@@ -43,6 +45,14 @@ class TestBasesAndExpressions:
             vishik_core(0, 2)
         with pytest.raises(InvalidRank):
             pfister_quadric(0)
+
+    def test_unknown_kind_and_wrong_arity(self):
+        with pytest.raises(ValueError, match="unknown motive kind"):
+            MotiveBase("sphere", (2,))
+        with pytest.raises(ValueError, match="takes 1 parameter"):
+            MotiveBase("core", (2, 3))
+        with pytest.raises(ValueError, match="takes 0 parameter"):
+            MotiveBase("tate", (1,))
 
     def test_expression_is_canonically_sorted(self):
         e1 = MotiveExpression.of((core(4), 1), (core(4), 0))
@@ -173,6 +183,7 @@ class TestBaseRealizations:
         assert realize_base(tate()).coefficients == (1,)
         assert realize_base(spec_l()).coefficients == (2,)
         assert realize_base(proj_l(1)).coefficients == (2, 2)
+        assert realize_base(proj_f(2)).coefficients == (1, 1, 1)
         assert realize_base(split_quadric(2)).coefficients == (1, 2, 1)
         assert realize_base(hermitian_quadric(3)).coefficients == (1, 2, 2, 1)
         assert realize_base(core(3)).coefficients == (1, 0, 0, 1)

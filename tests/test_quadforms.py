@@ -316,6 +316,10 @@ class TestDimensionFormulas:
             essential_dimension(1, 1)
         with pytest.raises(InvalidRank):
             essential_dimension(3, 0)
+        with pytest.raises(InvalidRank):
+            essential_dimension(2, 5)
+        with pytest.raises(InvalidRank):
+            essential_dimension(3, 4)
 
     @pytest.mark.parametrize("dim", [4, 6, 10, 18, 34])
     def test_first_witt_index_special(self, dim):
