@@ -10,55 +10,38 @@ hermitian form.  No arithmetic ever happens in the extension field itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InvalidExtension, InvalidRank, UnsupportedDimension, ZeroValue
 
 Rational = Union[int, Fraction]
 
 
-def _squarefree_part(n: int) -> int:
-    """Squarefree part of a positive integer, by trial division."""
-    out = 1
+def _split_valuation(n: int, p: int) -> tuple[int, int]:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _factor(n: int) -> Iterator[tuple[int, int]]:
+    """Prime powers (p, e) of a positive integer, ascending, by trial division.
+
+    Lazy, so a caller that needs only the least factor, or only the first
+    square factor, stops there.
+    """
     d = 2
     while d * d <= n:
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e & 1:
-                out *= d
-        d = 3 if d == 2 else d + 2
-    return out * n
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Prime divisors of a positive integer, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+            e, n = _split_valuation(n, d)
+            yield d, e
         d = 3 if d == 2 else d + 2
     if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d = 3 if d == 2 else d + 2
-    return True
+        yield n, 1
 
 
 @dataclass(frozen=True, order=True)
@@ -70,16 +53,25 @@ class SquareClass:
     def __post_init__(self):
         if self.value == 0:
             raise ZeroValue("0 has no square class")
-        if _squarefree_part(abs(self.value)) != abs(self.value):
+        if any(e > 1 for _, e in _factor(abs(self.value))):
             raise ValueError(
                 f"{self.value} is not squarefree; use normalize_square_class"
             )
 
+    @classmethod
+    def _of_squarefree(cls, value: int) -> "SquareClass":
+        """Wrap a nonzero value already known to be squarefree, unchecked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "value", value)
+        return c
+
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return normalize_square_class(self.value * other.value)
+        # a/g and b/g are coprime and squarefree, so their product is too
+        g = math.gcd(self.value, other.value)
+        return SquareClass._of_squarefree((self.value // g) * (other.value // g))
 
     def __neg__(self) -> "SquareClass":
-        return normalize_square_class(-self.value)
+        return SquareClass._of_squarefree(-self.value)
 
     @property
     def is_trivial(self) -> bool:
@@ -102,8 +94,8 @@ def normalize_square_class(x: Rational) -> SquareClass:
     if frac == 0:
         raise ZeroValue("0 has no square class")
     n = frac.numerator * frac.denominator
-    sign = -1 if n < 0 else 1
-    return SquareClass(sign * _squarefree_part(abs(n)))
+    part = math.prod(p for p, e in _factor(abs(n)) if e & 1)
+    return SquareClass._of_squarefree(part if n > 0 else -part)
 
 
 @dataclass(frozen=True)
@@ -113,8 +105,9 @@ class Place:
     prime: int | None = None
 
     def __post_init__(self):
-        if self.prime is not None and not _is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+        p = self.prime
+        if p is not None and (p < 2 or next(_factor(p))[0] != p):
+            raise ValueError(f"{p} is not prime")
 
     @property
     def is_real(self) -> bool:
@@ -188,25 +181,14 @@ def trace_form(h: HermitianSpace) -> DiagonalQuadraticForm:
     """The quadratic form <b1, -a b1, ..., bn, -a bn> underlying h."""
     entries: list[SquareClass] = []
     for b in h.entries:
-        entries.append(normalize_square_class(b))
-        entries.append(normalize_square_class(-h.a.value * b))
+        c = normalize_square_class(b)
+        entries += (c, -h.a * c)
     return DiagonalQuadraticForm(tuple(entries))
 
 
 def determinant_class(q: DiagonalQuadraticForm) -> SquareClass:
     """Product of the diagonal entries, as a square class."""
-    val = 1
-    for e in q.entries:
-        val *= e.value
-    return normalize_square_class(val)
-
-
-def _split_valuation(n: int, p: int) -> tuple[int, int]:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
+    return math.prod(q.entries, start=ONE)
 
 
 def _legendre(u: int, p: int) -> int:
@@ -245,12 +227,16 @@ def hilbert_symbol(x: SquareClass, y: SquareClass, v: Place) -> int:
 
 
 def hasse_invariant(q: DiagonalQuadraticForm, v: Place) -> int:
-    """Product of (a_i, a_j)_v over all index pairs i < j."""
+    """Product of (a_i, a_j)_v over all index pairs i < j.
+
+    By bimultiplicativity that is the product over j of (a_j, a_1...a_{j-1})_v,
+    one symbol per entry against the running product of the ones before it.
+    """
     out = 1
-    es = q.entries
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            out *= _hilbert(es[i].value, es[j].value, v)
+    prefix = ONE
+    for e in q.entries:
+        out *= _hilbert(e.value, prefix.value, v)
+        prefix = prefix * e
     return out
 
 
@@ -276,9 +262,7 @@ def relevant_places(
     """
     primes: set[int] = set()
     for c in (*q.entries, *extras):
-        for p in _prime_factors(abs(c.value)):
-            if p != 2:
-                primes.add(p)
+        primes.update(p for p, _ in _factor(abs(c.value)) if p != 2)
     return (REAL, DYADIC, *(Place(p) for p in sorted(primes)))
 
 
@@ -453,11 +437,13 @@ def essential_dimension(n: int, i1: int) -> int:
 
 
 def first_witt_index_special(dim_q: int) -> int:
-    """First Witt index of an anisotropic form of dimension 2^r + 2: always 2.
+    """First Witt index 2 of an anisotropic trace form of dimension 2^r + 2.
 
-    Such a dimension sits two above a power of two, where the index is
-    pinned by the standard bounds.  Every other dimension is refused rather
-    than guessed at.
+    Two above a power of two, Karpenko's bounds leave i1 in {1, 2} for any
+    anisotropic form, and a generic one has i1 = 1.  A form divisible by a
+    binary form, such as a trace form, has even i1, which pins it at 2; that
+    is the case answered here.  Every other dimension is refused rather than
+    guessed at.
     """
     if dim_q % 2 == 1 or dim_q < 4 or (dim_q - 2) & (dim_q - 3) != 0:
         raise UnsupportedDimension(

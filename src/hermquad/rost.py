@@ -47,20 +47,20 @@ def congrel_equivalence(n: int) -> bool:
     The two sides are computed by different bit tests, one on n - 1 and one
     on 2n - 3, so this is a genuine equality of predicates.
     """
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
-    return congruence_counterexample(n, n) is None
+    return (eta2_parity(n) == 1) == is_power_case(n)
 
 
 def congruence_counterexample(lo: int, hi: int) -> int | None:
-    """First n in [lo, hi] violating congrel_equivalence, or None."""
+    """First n in [lo, hi] violating congrel_equivalence, or None.
+
+    Lists each side's solutions by its own route, n - 1 = 2^s and
+    2n - 3 = 2^r - 1, and compares the sets: O(log hi) steps for any range.
+    """
     if lo < 2:
         raise InvalidRank(f"sweep must start at 2 or above, got {lo}")
-    for n in range(lo, hi + 1):
-        dim = 2 * n - 3
-        if ((n - 1).bit_count() == 1) != (dim & (dim + 1) == 0):
-            return n
-    return None
+    odd_eta2 = {2**s + 1 for s in range(hi.bit_length())}
+    power_dim = {(2**r + 2) // 2 for r in range(1, hi.bit_length() + 1)}
+    return min((n for n in odd_eta2 ^ power_dim if lo <= n <= hi), default=None)
 
 
 @dataclass(frozen=True)

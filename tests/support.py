@@ -88,3 +88,31 @@ def random_hermitian_spaces(count, seed=SEED):
         entries = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(rank)]
         out.append((a, entries))
     return out
+
+
+def squarefree(n):
+    """n with every square factor divided out, sign kept."""
+    k = 2
+    while k * k <= abs(n):
+        while n % (k * k) == 0:
+            n //= k * k
+        k += 1
+    return n
+
+
+def hilbert_by_solvability(a, b, p):
+    """Hilbert symbol (a, b)_p at a prime p, by brute-force local solvability.
+
+    For squarefree a and b, z^2 = a x^2 + b y^2 has a nontrivial p-adic zero
+    exactly when it has a primitive zero modulo 16 (p = 2) or modulo p^2
+    (p odd); modulo 8 is not enough at p = 2.  A zero with p | x and p | y
+    forces p | z, so the primitive zeros are those with x or y prime to p.
+    """
+    a, b = squarefree(a), squarefree(b)
+    m = 16 if p == 2 else p * p
+    squares = {z * z % m for z in range(m)}
+    for x in range(m):
+        for y in range(m):
+            if (x % p or y % p) and (a * x * x + b * y * y) % m in squares:
+                return 1
+    return -1

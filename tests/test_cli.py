@@ -213,6 +213,12 @@ class TestRostCommands:
         assert payload["checked"] == 999
         assert payload["first_counterexample"] is None
 
+    def test_eta2_range_answered_without_a_sweep(self):
+        code, parsed = run_json("rost", "eta2", "--range", "2..1000000000000")
+        assert code == 0
+        assert parsed["payload"]["checked"] == 10**12 - 1
+        assert parsed["payload"]["congruence_holds"] is True
+
     def test_eta2_rejects_both_selectors(self):
         code, _, _ = run_cli("rost", "eta2", "--n", "5", "--range", "2..10")
         assert code == 2

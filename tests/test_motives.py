@@ -183,6 +183,7 @@ class TestBaseRealizations:
         assert realize_base(tate()).coefficients == (1,)
         assert realize_base(spec_l()).coefficients == (2,)
         assert realize_base(proj_l(1)).coefficients == (2, 2)
+        assert realize_base(proj_l(0)) == IntPolynomial([2])
         assert realize_base(proj_f(2)).coefficients == (1, 1, 1)
         assert realize_base(split_quadric(2)).coefficients == (1, 2, 1)
         assert realize_base(hermitian_quadric(3)).coefficients == (1, 2, 2, 1)

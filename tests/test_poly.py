@@ -35,6 +35,7 @@ class TestRingOps:
         p = IntPolynomial([1, 1])
         assert p.shift(2).coefficients == (0, 0, 1, 1)
         assert (2 * p).coefficients == (2, 2)
+        assert IntPolynomial([5, 1]).coefficient(0) == 5
 
     def test_degree_of_zero_is_an_error(self):
         with pytest.raises(ValueError):

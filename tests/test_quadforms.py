@@ -1,9 +1,13 @@
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hermquad.quadforms
 from hermquad.errors import InvalidExtension, InvalidRank, UnsupportedDimension, ZeroValue
 from hermquad.quadforms import (
     DYADIC,
@@ -31,12 +35,26 @@ from hermquad.quadforms import (
     relevant_places,
     trace_form,
 )
-from support import random_forms, random_hermitian_spaces, search_isotropy
+from support import (
+    hilbert_by_solvability,
+    random_forms,
+    random_hermitian_spaces,
+    search_isotropy,
+)
 
 Q = DiagonalQuadraticForm.from_rationals
 
 SAMPLE_CLASSES = [SquareClass(v) for v in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 10, -10, 30, -30)]
 SAMPLE_PLACES = (REAL, DYADIC, Place(3), Place(5), Place(7))
+SMALL_PRIMES = (2, 3, 5, 7)
+
+# squarefree classes built from small primes and primes near 10^4, so that
+# products include squarefree semiprimes with both factors near 10^4
+squarefree_ints = st.builds(
+    lambda sign, primes: sign * math.prod(primes),
+    st.sampled_from((1, -1)),
+    st.sets(st.sampled_from((2, 3, 5, 7, 11, 9967, 9973, 10007, 10009)), max_size=3),
+)
 
 
 class TestSquareClass:
@@ -62,6 +80,26 @@ class TestSquareClass:
         assert -SquareClass(5) == SquareClass(-5)
         assert (SquareClass(7) * SquareClass(7)).is_trivial
 
+    @given(squarefree_ints, squarefree_ints)
+    def test_group_law_matches_normalization(self, x, y):
+        assert SquareClass(x) * SquareClass(y) == normalize_square_class(x * y)
+        assert -SquareClass(x) == normalize_square_class(-x)
+
+    def test_arithmetic_never_factors(self, monkeypatch):
+        c, d = SquareClass(9973 * 10007), SquareClass(-10007 * 3)
+        q = Q([9973 * 10007, -10007 * 3, 5, -1, 2 * 9967])
+        places = (REAL, DYADIC, Place(3), Place(10007))
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(hermquad.quadforms, "_factor", refuse)
+        assert (c * d).value == -9973 * 3
+        assert (-c).value == -9973 * 10007
+        assert determinant_class(q).value == 9973 * 3 * 5 * 2 * 9967
+        for v in places:
+            hasse_invariant(q, v)
+
     @given(
         st.fractions(min_value=-100, max_value=100, max_denominator=30).filter(
             lambda x: x != 0
@@ -78,6 +116,8 @@ class TestPlace:
             Place(4)
         with pytest.raises(ValueError):
             Place(1)
+        with pytest.raises(ValueError, match="2000006 is not prime"):
+            Place(2 * 1000003)
 
     def test_real_place(self):
         assert REAL.is_real
@@ -127,6 +167,14 @@ class TestHilbertSymbol:
         assert hilbert_symbol(SquareClass(2), SquareClass(7), Place(7)) == 1
         assert hilbert_symbol(SquareClass(3), SquareClass(7), Place(7)) == -1
 
+    def test_matches_solvability_oracle(self):
+        for p in SMALL_PRIMES:
+            for x in SAMPLE_CLASSES:
+                for y in SAMPLE_CLASSES:
+                    assert hilbert_symbol(x, y, Place(p)) == hilbert_by_solvability(
+                        x.value, y.value, p
+                    ), (x, y, p)
+
     def test_symmetry_and_range(self):
         for v in SAMPLE_PLACES:
             for x in SAMPLE_CLASSES:
@@ -164,6 +212,17 @@ class TestHasseInvariant:
     def test_goldens(self):
         assert hasse_invariant(Q([2, -3]), DYADIC) == -1
         assert hasse_invariant(Q([-1, -1]), REAL) == -1
+
+    def test_matches_pairwise_solvability_oracle(self):
+        # the library takes one symbol per entry; the oracle takes every pair
+        symbol = functools.cache(hilbert_by_solvability)
+        for entries in random_forms(300, dim_max=8, bound=30):
+            q = Q(entries)
+            for p in SMALL_PRIMES:
+                expected = math.prod(
+                    symbol(*sorted(pair), p) for pair in itertools.combinations(entries, 2)
+                )
+                assert hasse_invariant(q, Place(p)) == expected, (entries, p)
 
     def test_all_ones_form_trivial(self):
         for v in SAMPLE_PLACES:
@@ -310,6 +369,8 @@ class TestDimensionFormulas:
         assert essential_dimension(3, 2) == 3
         assert essential_dimension(5, 2) == 7
         assert essential_dimension(4, 1) == 6
+        assert essential_dimension(2, 1) == 2
+        assert essential_dimension(2, 2) == 1
 
     def test_essential_dimension_validation(self):
         with pytest.raises(InvalidRank):

@@ -62,6 +62,7 @@ class TestCongruence:
 
     def test_counterexample_search_empty(self):
         assert congruence_counterexample(2, 50_000) is None
+        assert congruence_counterexample(2, 10**100) is None
 
     def test_counterexample_bounds_validated(self):
         with pytest.raises(InvalidRank):
