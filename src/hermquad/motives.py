@@ -25,18 +25,18 @@ from .poly import (
     poincare_split_quadric,
 )
 
-# kind -> (number of integer parameters, realizer taking those parameters);
+# kind -> (least value of each parameter, realizer taking those parameters);
 # solve_core and vishik_solve are looked up at call time, further down
 _KINDS = {
-    "tate": (0, lambda: IntPolynomial([1])),
-    "spec_l": (0, lambda: IntPolynomial([2])),
-    "proj_l": (1, lambda m: poincare_projective(m, 2)),
-    "proj_f": (1, lambda m: poincare_projective(m, 1)),
-    "split_quadric": (1, poincare_split_quadric),
-    "hermitian_quadric": (1, poincare_split_hermitian),
-    "core": (1, lambda n: solve_core(n)),
-    "vishik_core": (2, lambda m, k: _realize_vishik_core(m, k)),
-    "pfister_quadric": (1, lambda m: poincare_quadric_of_dim(2**m - 2)),
+    "tate": ((), lambda: IntPolynomial([1])),
+    "spec_l": ((), lambda: IntPolynomial([2])),
+    "proj_l": ((0,), lambda m: poincare_projective(m, 2)),
+    "proj_f": ((0,), lambda m: poincare_projective(m, 1)),
+    "split_quadric": ((2,), poincare_split_quadric),
+    "hermitian_quadric": ((2,), poincare_split_hermitian),
+    "core": ((2,), lambda n: solve_core(n)),
+    "vishik_core": ((1, 1), lambda m, k: _realize_vishik_core(m, k)),
+    "pfister_quadric": ((1,), lambda m: poincare_quadric_of_dim(2**m - 2)),
 }
 
 
@@ -50,10 +50,14 @@ class MotiveBase:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown motive kind {self.kind!r}")
-        arity = _KINDS[self.kind][0]
-        if len(self.params) != arity:
+        least = _KINDS[self.kind][0]
+        if len(self.params) != len(least):
             raise ValueError(
-                f"{self.kind} takes {arity} parameter(s), got {self.params!r}"
+                f"{self.kind} takes {len(least)} parameter(s), got {self.params!r}"
+            )
+        if any(value < lo for value, lo in zip(self.params, least)):
+            raise InvalidRank(
+                f"{self.kind} parameters must be at least {least}, got {self.params}"
             )
 
 
@@ -69,52 +73,36 @@ def spec_l() -> MotiveBase:
 
 def proj_l(m: int) -> MotiveBase:
     """Projective m-space with cells doubled by the quadratic extension."""
-    if m < 0:
-        raise InvalidRank(f"projective dimension must be nonnegative, got {m}")
     return MotiveBase("proj_l", (m,))
 
 
 def proj_f(m: int) -> MotiveBase:
     """Ordinary projective m-space over the base field."""
-    if m < 0:
-        raise InvalidRank(f"projective dimension must be nonnegative, got {m}")
     return MotiveBase("proj_f", (m,))
 
 
 def split_quadric(n: int) -> MotiveBase:
     """The 2n-dimensional quadric hypersurface, split case."""
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
     return MotiveBase("split_quadric", (n,))
 
 
 def hermitian_quadric(n: int) -> MotiveBase:
     """The hermitian quadric of rank n, split case."""
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
     return MotiveBase("hermitian_quadric", (n,))
 
 
 def core(n: int) -> MotiveBase:
     """The indecomposable summand shared by both quadric decompositions."""
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
     return MotiveBase("core", (n,))
 
 
 def vishik_core(m: int, k: int) -> MotiveBase:
     """The tensor factor in Vishik's splitting for multiples of a Pfister form."""
-    if m < 1:
-        raise InvalidRank(f"Pfister exponent m must be at least 1, got {m}")
-    if k < 1:
-        raise InvalidRank(f"multiplier dimension k must be at least 1, got {k}")
     return MotiveBase("vishik_core", (m, k))
 
 
 def pfister_quadric(m: int) -> MotiveBase:
     """The quadric of an m-fold Pfister form, of variety dimension 2^m - 2."""
-    if m < 1:
-        raise InvalidRank(f"Pfister exponent m must be at least 1, got {m}")
     return MotiveBase("pfister_quadric", (m,))
 
 
@@ -169,8 +157,6 @@ def decompose_quadric(n: int) -> MotiveExpression:
     Two copies of the core, shifted by 0 and 1, plus a quadratic point in
     the middle degree when n is odd.
     """
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
     summands = [(core(n), 0), (core(n), 1)]
     if n % 2 == 1:
         summands.append((spec_l(), n - 1))
@@ -189,8 +175,6 @@ def decompose_hermitian(n: int) -> MotiveExpression:
 
     The core plus a ladder of shifted projective spaces in odd shifts.
     """
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
     return MotiveExpression.of((core(n), 0), *_hermitian_tail(n))
 
 
@@ -210,11 +194,9 @@ def solve_core(n: int) -> IntPolynomial:
     failing would mean the two decompositions are inconsistent, so it raises
     rather than returning a wrong value.
     """
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
-    p = poincare_split_hermitian(n)
-    for base, shift in _hermitian_tail(n):
-        p = p - realize_base(base).shift(shift)
+    p = poincare_split_hermitian(n) - realize_split(
+        MotiveExpression.of(*_hermitian_tail(n))
+    )
     if any(c < 0 for c in p.coefficients):
         raise InconsistentDecomposition(
             f"core of rank {n} would need negative cell counts: {p!r}"
@@ -246,8 +228,6 @@ def verify_krashen(n: int) -> VerificationReport:
     realize to the same polynomial as two shifted copies of the hermitian
     quadric.
     """
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
     lhs_expr = MotiveExpression.of(
         (split_quadric(n), 0),
         *(((proj_l(n - 1), i)) for i in range(1, n - 1)),

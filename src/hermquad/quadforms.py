@@ -406,8 +406,6 @@ def milnor_husemoller_check(q: DiagonalQuadraticForm, a: SquareClass) -> MHRepor
     extension, and det q = (-a)^n.  Witnesses localize each failure to a
     place, or to "global" for the dimension and determinant clauses.
     """
-    if a.is_trivial:
-        raise InvalidExtension("a = 1 defines no quadratic extension")
     dim_ok = q.dim % 2 == 0
     half = q.dim // 2
     hyp_failures = _hyperbolic_failures(q, a)
@@ -423,8 +421,11 @@ def milnor_husemoller_check(q: DiagonalQuadraticForm, a: SquareClass) -> MHRepor
 def essential_dimension(n: int, i1: int) -> int:
     """Essential dimension of a rank n hermitian space with first Witt index i1.
 
-    dim of the hermitian quadric, minus the Witt index of the trace form,
-    plus 2 for the defect of the generic splitting construction.
+    The value 2n - 1 - i1 is the canonical dimension of the trace-form
+    quadric X_q, which is dim X_q - i1 + 1 with dim X_q = 2n - 2
+    (Karpenko-Merkurjev, Invent. Math. 153, 2003).  The hermitian quadric
+    X_h and X_q gain rational points over the same field extensions, so
+    they share it.
     """
     if n < 2:
         raise InvalidRank(f"rank n must be at least 2, got {n}")
@@ -433,7 +434,7 @@ def essential_dimension(n: int, i1: int) -> int:
     if i1 > n:
         # the trace form has dimension 2n, so its Witt index is at most n
         raise InvalidRank(f"first Witt index must be at most n = {n}, got {i1}")
-    return (2 * n - 3) - i1 + 2
+    return 2 * n - 1 - i1
 
 
 def first_witt_index_special(dim_q: int) -> int:

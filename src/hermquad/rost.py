@@ -83,8 +83,6 @@ def incompressibility_verdict(n: int, anisotropic: bool) -> RostReport:
     to be dominant.  Everything else is Unknown, not compressible: the
     criterion only ever argues one way.
     """
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
     parity = eta2_parity(n)
     power = is_power_case(n)
     verdict = INCOMPRESSIBLE if (anisotropic and parity == 1) else UNKNOWN
@@ -104,6 +102,4 @@ def degree_formula_filter(n: int) -> frozenset[int]:
     With an odd eta2 only odd degrees survive; otherwise both residues are
     possible and the formula gives no information.
     """
-    if n < 2:
-        raise InvalidRank(f"rank n must be at least 2, got {n}")
     return frozenset({1}) if eta2_parity(n) == 1 else frozenset({0, 1})

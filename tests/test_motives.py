@@ -37,14 +37,25 @@ def is_palindromic(p):
 
 class TestBasesAndExpressions:
     def test_base_validation(self):
-        with pytest.raises(InvalidRank):
-            core(1)
-        with pytest.raises(InvalidRank):
-            proj_l(-1)
-        with pytest.raises(InvalidRank):
-            vishik_core(0, 2)
-        with pytest.raises(InvalidRank):
-            pfister_quadric(0)
+        # each kind's range is checked once, when its MotiveBase is built;
+        # decompose_quadric and decompose_hermitian rely on that check
+        for build, *args in (
+            (core, 1),
+            (proj_l, -1),
+            (proj_f, -1),
+            (split_quadric, 1),
+            (hermitian_quadric, 1),
+            (vishik_core, 0, 2),
+            (pfister_quadric, 0),
+            (MotiveBase, "core", (1,)),
+            (MotiveBase, "proj_l", (-1,)),
+            (MotiveBase, "vishik_core", (1, 0)),
+            (decompose_quadric, 1),
+            (decompose_hermitian, 1),
+            (expand_projective_bundle, -1),
+        ):
+            with pytest.raises(InvalidRank):
+                build(*args)
 
     def test_unknown_kind_and_wrong_arity(self):
         with pytest.raises(ValueError, match="unknown motive kind"):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from hermquad.quadforms import (
     trace_form,
 )
 from support import (
+    SEED,
     hilbert_by_solvability,
     random_forms,
     random_hermitian_spaces,
@@ -287,6 +289,17 @@ class TestWittIndices:
             assert 0 <= w <= q.dim // 2
             for v in relevant_places(q):
                 assert local_witt_index(q, v) >= w
+
+    def test_witt_cancellation(self):
+        # adding a hyperbolic plane <c, -c> raises every Witt index by exactly one
+        rng = random.Random(SEED)
+        for entries in random_forms(300, dim_max=6, bound=30):
+            c = rng.choice((-1, 1)) * rng.randint(1, 30)
+            q = Q(entries)
+            padded = Q([c, -c, *entries])
+            for v in relevant_places(padded):
+                assert local_witt_index(padded, v) == local_witt_index(q, v) + 1, (c, entries, v)
+            assert global_witt_index(padded) == global_witt_index(q) + 1, (c, entries)
 
 
 class TestHermitianIsotropy:

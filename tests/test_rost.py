@@ -48,6 +48,10 @@ class TestEta2:
     def test_rank_validation(self):
         with pytest.raises(InvalidRank):
             eta2_parity(1)
+        with pytest.raises(InvalidRank):
+            incompressibility_verdict(1, True)
+        with pytest.raises(InvalidRank):
+            degree_formula_filter(1)
 
 
 class TestCongruence:
