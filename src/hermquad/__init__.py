@@ -11,6 +11,7 @@ from .errors import (
     DivisionByZero,
     HermquadError,
     InconsistentDecomposition,
+    InputTooLarge,
     InvalidExtension,
     InvalidRank,
     NonExactDivision,

@@ -17,7 +17,7 @@ from dataclasses import is_dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import HermquadError
+from .errors import HermquadError, InputTooLarge
 from .motives import (
     decompose_hermitian,
     decompose_quadric,
@@ -102,12 +102,19 @@ def _entry_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(part) for part in parts)
 
 
+def _normalized(value: Fraction) -> SquareClass:
+    try:
+        return normalize_square_class(value)
+    except InputTooLarge as err:
+        raise argparse.ArgumentTypeError(str(err))
+
+
 def _square_class(text: str) -> SquareClass:
-    return normalize_square_class(_rational(text))
+    return _normalized(_rational(text))
 
 
 def _diagonal_form(text: str) -> DiagonalQuadraticForm:
-    return DiagonalQuadraticForm.from_rationals(_entry_list(text))
+    return DiagonalQuadraticForm(tuple(map(_normalized, _entry_list(text))))
 
 
 def _place(text: str) -> Place:
@@ -119,7 +126,7 @@ def _place(text: str) -> Place:
         raise argparse.ArgumentTypeError(f"{text!r} is neither 'real' nor a prime")
     try:
         return Place(prime)
-    except ValueError as err:
+    except (ValueError, InputTooLarge) as err:
         raise argparse.ArgumentTypeError(str(err))
 
 

@@ -31,3 +31,7 @@ class InvalidExtension(HermquadError):
 
 class UnsupportedDimension(HermquadError):
     """The dimension is outside the family this operation covers."""
+
+
+class InputTooLarge(HermquadError):
+    """An input is past a size limit beyond which the work has no useful bound."""

@@ -15,8 +15,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InconsistentDecomposition, InvalidRank, NonExactDivision
+from .errors import (
+    InconsistentDecomposition,
+    InputTooLarge,
+    InvalidRank,
+    NonExactDivision,
+)
 from .poly import (
+    RANK_MEMO_SIZE,
     IntPolynomial,
     exact_div,
     poincare_projective,
@@ -24,6 +30,9 @@ from .poly import (
     poincare_split_hermitian,
     poincare_split_quadric,
 )
+
+# realize_split is quadratic in the summand count; far past this it runs for hours
+BUNDLE_LIMIT = 10**4
 
 # kind -> (least value of each parameter, realizer taking those parameters);
 # solve_core and vishik_solve are looked up at call time, further down
@@ -151,16 +160,18 @@ def realize_split(expr: MotiveExpression) -> IntPolynomial:
     return total
 
 
+def _quadric_tail(n: int) -> list[tuple[MotiveBase, int]]:
+    # everything in the quadric decomposition except the two copies of the core
+    return [(spec_l(), n - 1)] if n % 2 == 1 else []
+
+
 def decompose_quadric(n: int) -> MotiveExpression:
     """Direct-sum decomposition of the 2n-dimensional quadric.
 
     Two copies of the core, shifted by 0 and 1, plus a quadratic point in
     the middle degree when n is odd.
     """
-    summands = [(core(n), 0), (core(n), 1)]
-    if n % 2 == 1:
-        summands.append((spec_l(), n - 1))
-    return MotiveExpression.of(*summands)
+    return MotiveExpression.of((core(n), 0), (core(n), 1), *_quadric_tail(n))
 
 
 def _hermitian_tail(n: int) -> list[tuple[MotiveBase, int]]:
@@ -182,10 +193,12 @@ def expand_projective_bundle(m: int) -> MotiveExpression:
     """Projective m-space as a sum of shifted unit summands."""
     if m < 0:
         raise InvalidRank(f"projective dimension must be nonnegative, got {m}")
+    if m > BUNDLE_LIMIT:
+        raise InputTooLarge(f"projective dimension {m} is above {BUNDLE_LIMIT}")
     return MotiveExpression.of(*(((tate(), i)) for i in range(m + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_MEMO_SIZE)
 def solve_core(n: int) -> IntPolynomial:
     """Poincare polynomial of the core summand of rank n.
 
@@ -201,10 +214,8 @@ def solve_core(n: int) -> IntPolynomial:
         raise InconsistentDecomposition(
             f"core of rank {n} would need negative cell counts: {p!r}"
         )
-    cross = p * IntPolynomial([1, 1])
-    if n % 2 == 1:
-        cross = cross + IntPolynomial([0] * (n - 1) + [2])
-    if cross != poincare_split_quadric(n):
+    tail = realize_split(MotiveExpression.of(*_quadric_tail(n)))
+    if p + p.shift(1) + tail != poincare_split_quadric(n):
         raise InconsistentDecomposition(
             f"core of rank {n} fails the quadric cross-check"
         )
@@ -262,19 +273,17 @@ def vishik_solve(m: int, k: int) -> VishikReport:
     is reported as degenerate.  For m = 1 the factor is compared with the
     core of the same rank.
     """
-    if m < 1:
-        raise InvalidRank(f"Pfister exponent m must be at least 1, got {m}")
+    pfister = pfister_quadric(m)
     if k < 1:
         raise InvalidRank(f"multiplier dimension k must be at least 1, got {k}")
     total = poincare_quadric_of_dim(k * 2**m - 2)
     if k % 2 == 1:
-        correction = poincare_quadric_of_dim(2**m - 2)
-        total = total - correction.shift((k - 1) * 2 ** (m - 1))
+        total = total - realize_base(pfister).shift((k - 1) * 2 ** (m - 1))
     holds = all(c >= 0 for c in total.coefficients)
     factor: Optional[IntPolynomial] = None
     if holds:
         try:
-            factor = exact_div(total, poincare_projective(2**m - 1, 1))
+            factor = exact_div(total, realize_base(proj_f(2**m - 1)))
         except NonExactDivision:
             holds = False
         else:

@@ -183,6 +183,7 @@ def exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
 
 
 _ONE_MINUS_T = IntPolynomial([1, -1])
+RANK_MEMO_SIZE = 8  # one call chain reuses <= 3 keys; a sweep never revisits one
 
 
 def _one_minus_power(k: int) -> IntPolynomial:
@@ -190,7 +191,7 @@ def _one_minus_power(k: int) -> IntPolynomial:
     return IntPolynomial([1] + [0] * (k - 1) + [-1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_MEMO_SIZE)
 def poincare_split_quadric(n: int) -> IntPolynomial:
     """Poincare polynomial of a split 2n-dimensional quadric hypersurface.
 
@@ -206,7 +207,7 @@ def poincare_split_quadric(n: int) -> IntPolynomial:
     return exact_div(num, _ONE_MINUS_T)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_MEMO_SIZE)
 def poincare_split_hermitian(n: int) -> IntPolynomial:
     """Poincare polynomial of a split hermitian quadric of rank n.
 
@@ -222,7 +223,7 @@ def poincare_split_hermitian(n: int) -> IntPolynomial:
     return exact_div(exact_div(num, _ONE_MINUS_T), _ONE_MINUS_T)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_MEMO_SIZE)
 def poincare_projective(m: int, point_factor: int) -> IntPolynomial:
     """Poincare polynomial of projective m-space, scaled by the point count.
 

@@ -13,11 +13,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Iterator, Union
 
-from .errors import InvalidExtension, InvalidRank, UnsupportedDimension, ZeroValue
+from .errors import (
+    InputTooLarge,
+    InvalidExtension,
+    InvalidRank,
+    UnsupportedDimension,
+    ZeroValue,
+)
 
 Rational = Union[int, Fraction]
+
+# trial division stops at FACTOR_LIMIT, so every integer below its square factors
+FACTOR_LIMIT = 10**6
+_FACTOR_LIMIT_SQUARED = FACTOR_LIMIT**2
 
 
 def _split_valuation(n: int, p: int) -> tuple[int, int]:
@@ -32,14 +43,20 @@ def _factor(n: int) -> Iterator[tuple[int, int]]:
     """Prime powers (p, e) of a positive integer, ascending, by trial division.
 
     Lazy, so a caller that needs only the least factor, or only the first
-    square factor, stops there.
+    square factor, stops there.  Raises InputTooLarge on reaching a cofactor
+    that may be composite with no prime factor up to FACTOR_LIMIT.
     """
-    d = 2
-    while d * d <= n:
+    d, top = 2, isqrt(n) if n < _FACTOR_LIMIT_SQUARED else FACTOR_LIMIT
+    while d <= top:
         if n % d == 0:
             e, n = _split_valuation(n, d)
             yield d, e
+            top = isqrt(n) if n < _FACTOR_LIMIT_SQUARED else FACTOR_LIMIT
         d = 3 if d == 2 else d + 2
+    if d * d <= n:
+        raise InputTooLarge(
+            f"{n} has no prime factor up to {FACTOR_LIMIT} and is too large to test"
+        )
     if n > 1:
         yield n, 1
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -383,6 +386,26 @@ class TestErrorPaths:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("form", "hilbert", "--x", "2", "--y", "3", "--place", str(10**18 + 3)),
+            ("form", "witt-index", "--qdiag", f"1,{(10**9 + 7) * (10**9 + 9)}"),
+            ("motive", "decompose", "--variety", "projective", "--m", str(10**20)),
+        ],
+    )
+    def test_size_limits_refuse_at_once(self, argv):
+        # each argv is past a size limit, so it must be refused before any long work
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "hermquad", *argv, "--json"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "InputTooLarge" in done.stdout or "no prime factor" in done.stderr
 
 
 class TestHumanOutput:

@@ -1,6 +1,6 @@
 import pytest
 
-from hermquad.errors import InvalidRank
+from hermquad.errors import InputTooLarge, InvalidRank
 from hermquad.motives import (
     MotiveBase,
     MotiveExpression,
@@ -23,6 +23,7 @@ from hermquad.motives import (
     vishik_solve,
 )
 from hermquad.poly import (
+    RANK_MEMO_SIZE,
     IntPolynomial,
     poincare_projective,
     poincare_split_hermitian,
@@ -117,6 +118,11 @@ class TestDecompositions:
             assert all(base == tate() for base, _ in expr)
             assert realize_split(expr) == poincare_projective(m, 1)
 
+    def test_projective_bundle_limit(self):
+        assert len(expand_projective_bundle(10**4)) == 10**4 + 1
+        with pytest.raises(InputTooLarge):
+            expand_projective_bundle(10**4 + 1)
+
 
 class TestCore:
     def test_golden_values(self):
@@ -151,6 +157,27 @@ class TestKrashenIdentity:
     def test_rank_validation(self):
         with pytest.raises(InvalidRank):
             verify_krashen(1)
+
+    def test_memo_tables_stay_bounded(self):
+        # the three poly closed forms and solve_core: a sweep must not keep
+        # one entry per rank it has passed
+        tables = (
+            poincare_split_quadric,
+            poincare_split_hermitian,
+            poincare_projective,
+            solve_core,
+        )
+        for n in range(2, 201):
+            verify_krashen(n)
+            solve_core(n)
+        for table in tables:
+            assert table.cache_info().currsize <= RANK_MEMO_SIZE
+
+    def test_memo_serves_one_rank(self):
+        # the ladder realizes proj_l(n - 1) n - 2 times: one miss, then hits
+        poincare_projective.cache_clear()
+        verify_krashen(300)
+        assert poincare_projective.cache_info().hits >= 297
 
 
 class TestVishik:

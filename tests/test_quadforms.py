@@ -9,7 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hermquad.quadforms
-from hermquad.errors import InvalidExtension, InvalidRank, UnsupportedDimension, ZeroValue
+from hermquad.errors import (
+    InputTooLarge,
+    InvalidExtension,
+    InvalidRank,
+    UnsupportedDimension,
+    ZeroValue,
+)
 from hermquad.quadforms import (
     DYADIC,
     ONE,
@@ -77,6 +83,16 @@ class TestSquareClass:
         with pytest.raises(ValueError):
             SquareClass(12)
 
+    def test_factoring_limit(self):
+        # every integer below 10^12 factors; past it, a cofactor with no
+        # prime factor up to 10^6 is refused instead of searched for
+        assert normalize_square_class(999983 * 999979).value == 999983 * 999979
+        assert normalize_square_class(-4 * 999983**2).value == -1
+        with pytest.raises(InputTooLarge):
+            normalize_square_class((10**9 + 7) * (10**9 + 9))
+        with pytest.raises(InputTooLarge):
+            SquareClass((10**9 + 7) * (10**9 + 9))
+
     def test_group_law(self):
         assert SquareClass(2) * SquareClass(6) == SquareClass(3)
         assert -SquareClass(5) == SquareClass(-5)
@@ -120,6 +136,11 @@ class TestPlace:
             Place(1)
         with pytest.raises(ValueError, match="2000006 is not prime"):
             Place(2 * 1000003)
+
+    def test_factoring_limit(self):
+        assert Place(10**12 + 39).prime == 10**12 + 39
+        with pytest.raises(InputTooLarge):
+            Place(10**18 + 3)
 
     def test_real_place(self):
         assert REAL.is_real
