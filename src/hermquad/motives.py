@@ -31,7 +31,7 @@ from .poly import (
     poincare_split_quadric,
 )
 
-# realize_split is quadratic in the summand count; far past this it runs for hours
+# the highest ladder shift; realize_split is quadratic and far past this takes hours
 BUNDLE_LIMIT = 10**4
 
 # kind -> (least value of each parameter, realizer taking those parameters);
@@ -130,7 +130,7 @@ class MotiveExpression:
             if shift < 0:
                 raise ValueError(f"negative shift {shift}")
             items.append((base, shift))
-        items.sort(key=lambda s: (s[0].kind, s[0].params, s[1]))
+        items.sort()
         return MotiveExpression(tuple(items))
 
     def __iter__(self):
@@ -160,6 +160,15 @@ def realize_split(expr: MotiveExpression) -> IntPolynomial:
     return total
 
 
+def _ladder(base: MotiveBase, shifts: range) -> list[tuple[MotiveBase, int]]:
+    # one copy of base per shift; len() would overflow on a range past sys.maxsize
+    if shifts and shifts[-1] > BUNDLE_LIMIT:
+        raise InputTooLarge(
+            f"{base.kind} ladder reaches shift {shifts[-1]}, above {BUNDLE_LIMIT}"
+        )
+    return [(base, shift) for shift in shifts]
+
+
 def _quadric_tail(n: int) -> list[tuple[MotiveBase, int]]:
     # everything in the quadric decomposition except the two copies of the core
     return [(spec_l(), n - 1)] if n % 2 == 1 else []
@@ -171,14 +180,12 @@ def decompose_quadric(n: int) -> MotiveExpression:
     Two copies of the core, shifted by 0 and 1, plus a quadratic point in
     the middle degree when n is odd.
     """
-    return MotiveExpression.of((core(n), 0), (core(n), 1), *_quadric_tail(n))
+    return MotiveExpression.of(*_ladder(core(n), range(2)), *_quadric_tail(n))
 
 
 def _hermitian_tail(n: int) -> list[tuple[MotiveBase, int]]:
     # everything in the hermitian decomposition except the core
-    if n % 2 == 0:
-        return [(proj_l(n - 1), 2 * i + 1) for i in range((n - 2) // 2)]
-    return [(proj_l(n - 2), 2 * i + 1) for i in range((n - 1) // 2)]
+    return _ladder(proj_l(n - 1 - n % 2), range(1, n - 1, 2))
 
 
 def decompose_hermitian(n: int) -> MotiveExpression:
@@ -191,11 +198,8 @@ def decompose_hermitian(n: int) -> MotiveExpression:
 
 def expand_projective_bundle(m: int) -> MotiveExpression:
     """Projective m-space as a sum of shifted unit summands."""
-    if m < 0:
-        raise InvalidRank(f"projective dimension must be nonnegative, got {m}")
-    if m > BUNDLE_LIMIT:
-        raise InputTooLarge(f"projective dimension {m} is above {BUNDLE_LIMIT}")
-    return MotiveExpression.of(*(((tate(), i)) for i in range(m + 1)))
+    proj_f(m)  # the range check: m >= 0
+    return MotiveExpression.of(*_ladder(tate(), range(m + 1)))
 
 
 @lru_cache(maxsize=RANK_MEMO_SIZE)
@@ -240,12 +244,9 @@ def verify_krashen(n: int) -> VerificationReport:
     quadric.
     """
     lhs_expr = MotiveExpression.of(
-        (split_quadric(n), 0),
-        *(((proj_l(n - 1), i)) for i in range(1, n - 1)),
+        (split_quadric(n), 0), *_ladder(proj_l(n - 1), range(1, n - 1))
     )
-    rhs_expr = MotiveExpression.of(
-        (hermitian_quadric(n), 0), (hermitian_quadric(n), 1)
-    )
+    rhs_expr = MotiveExpression.of(*_ladder(hermitian_quadric(n), range(2)))
     lhs = realize_split(lhs_expr)
     rhs = realize_split(rhs_expr)
     return VerificationReport(n, lhs == rhs, lhs, rhs)
@@ -273,12 +274,10 @@ def vishik_solve(m: int, k: int) -> VishikReport:
     is reported as degenerate.  For m = 1 the factor is compared with the
     core of the same rank.
     """
-    pfister = pfister_quadric(m)
-    if k < 1:
-        raise InvalidRank(f"multiplier dimension k must be at least 1, got {k}")
+    vishik_core(m, k)  # the range check: m >= 1 and k >= 1
     total = poincare_quadric_of_dim(k * 2**m - 2)
     if k % 2 == 1:
-        total = total - realize_base(pfister).shift((k - 1) * 2 ** (m - 1))
+        total = total - realize_base(pfister_quadric(m)).shift((k - 1) * 2 ** (m - 1))
     holds = all(c >= 0 for c in total.coefficients)
     factor: Optional[IntPolynomial] = None
     if holds:

@@ -393,6 +393,9 @@ class TestErrorPaths:
             ("form", "hilbert", "--x", "2", "--y", "3", "--place", str(10**18 + 3)),
             ("form", "witt-index", "--qdiag", f"1,{(10**9 + 7) * (10**9 + 9)}"),
             ("motive", "decompose", "--variety", "projective", "--m", str(10**20)),
+            ("motive", "nh", "--n", "100000"),
+            ("motive", "decompose", "--variety", "hermitian", "--n", "100000"),
+            ("motive", "verify-krashen", "--n", "100000"),
         ],
     )
     def test_size_limits_refuse_at_once(self, argv):

@@ -70,6 +70,17 @@ class TestBasesAndExpressions:
         e1 = MotiveExpression.of((core(4), 1), (core(4), 0))
         e2 = MotiveExpression.of((core(4), 0), (core(4), 1))
         assert e1 == e2
+        # kind by name, then parameters by value, then shift
+        mixed = MotiveExpression.of(
+            (spec_l(), 1), (proj_l(10), 1), (core(5), 1), (proj_l(2), 3), (core(5), 0)
+        )
+        assert list(mixed) == [
+            (core(5), 0),
+            (core(5), 1),
+            (proj_l(2), 3),
+            (proj_l(10), 1),
+            (spec_l(), 1),
+        ]
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
@@ -122,6 +133,13 @@ class TestDecompositions:
         assert len(expand_projective_bundle(10**4)) == 10**4 + 1
         with pytest.raises(InputTooLarge):
             expand_projective_bundle(10**4 + 1)
+        # every ladder shares the limit: rank 10003 is the first past it
+        for too_large in (solve_core, decompose_hermitian, verify_krashen):
+            with pytest.raises(InputTooLarge):
+                too_large(10**4 + 3)
+        # built but not realized: the last accepted rank and the one below it
+        assert len(decompose_hermitian(10**4 + 2)) == 5001
+        assert len(decompose_hermitian(10**4 + 1)) == 5001
 
 
 class TestCore:
