@@ -28,6 +28,7 @@ from .motives import (
     decompose_quadric,
     expand_projective_bundle,
     hermitian_quadric,
+    krashen_sides,
     pfister_quadric,
     proj_f,
     proj_l,

@@ -22,6 +22,7 @@ from .motives import (
     decompose_hermitian,
     decompose_quadric,
     expand_projective_bundle,
+    krashen_sides,
     realize_split,
     solve_core,
     verify_krashen,
@@ -303,6 +304,7 @@ def _verify_krashen(args):
         report = verify_krashen(args.n)
         return vars(report), report.holds
     lo, hi = args.range
+    krashen_sides(hi)  # a top rank past the ladder limit is refused before any check
     for n in range(lo, hi + 1):
         report = verify_krashen(n)
         if not report.holds:

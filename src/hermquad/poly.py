@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, InvalidRank, NonExactDivision
+from .errors import DivisionByZero, InputTooLarge, InvalidRank, NonExactDivision
 
 
 class IntPolynomial:
@@ -184,10 +184,15 @@ def exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
 
 _ONE_MINUS_T = IntPolynomial([1, -1])
 RANK_MEMO_SIZE = 8  # one call chain reuses <= 3 keys; a sweep never revisits one
+# the highest power of t a closed form expands densely; at the limit the hermitian
+# form takes ~3 s on one Xeon core
+CLOSED_FORM_LIMIT = 10**6
 
 
 def _one_minus_power(k: int) -> IntPolynomial:
-    """1 - t^k for k >= 1."""
+    """1 - t^k for 1 <= k <= CLOSED_FORM_LIMIT."""
+    if k > CLOSED_FORM_LIMIT:
+        raise InputTooLarge(f"closed form needs t^{k}, above t^{CLOSED_FORM_LIMIT}")
     return IntPolynomial([1] + [0] * (k - 1) + [-1])
 
 

@@ -24,6 +24,37 @@ def convolve(a, b):
     return out
 
 
+def shifted_sum(terms):
+    """Sum of t^shift times a polynomial over (coefficient list, shift) pairs.
+
+    Each term is its own convolution with the monomial t^shift, so repeated
+    pairs count as often as they occur.
+    """
+    out = []
+    for coeffs, shift in terms:
+        term = convolve([0] * shift + [1], list(coeffs))
+        out.extend([0] * (len(term) - len(out)))
+        for i, c in enumerate(term):
+            out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def closed_form_core(n):
+    """Coefficients of the rank-n core, (1 - t^A) / (1 - t^2) * (1 + t^B).
+
+    (A, B) = (n, n - 1) for even n and (n - 1, n) for odd n.  A is even, so
+    the quotient is 1 + t^2 + ... + t^(A - 2), and the core has degree 2n - 3.
+    """
+    a, b = (n, n - 1) if n % 2 == 0 else (n - 1, n)
+    out = [0] * (a - 1 + b)
+    for i in range(0, a - 1, 2):
+        out[i] += 1
+        out[i + b] += 1
+    return out
+
+
 def v2_central_binomial(m):
     """2-adic valuation of binomial(2m, m), straight off the big integer."""
     c = math.comb(2 * m, m)

@@ -396,6 +396,10 @@ class TestErrorPaths:
             ("motive", "nh", "--n", "100000"),
             ("motive", "decompose", "--variety", "hermitian", "--n", "100000"),
             ("motive", "verify-krashen", "--n", "100000"),
+            ("motive", "verify-krashen", "--range", "2..100000"),
+            ("poincare", "--variety", "hermitian", "--n", "10000000"),
+            ("poincare", "--variety", "quadric", "--n", "10000000"),
+            ("poincare", "--variety", "projective", "--m", "10000000"),
         ],
     )
     def test_size_limits_refuse_at_once(self, argv):

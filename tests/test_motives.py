@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hermquad.errors import InputTooLarge, InvalidRank
@@ -29,6 +31,7 @@ from hermquad.poly import (
     poincare_split_hermitian,
     poincare_split_quadric,
 )
+from support import SEED, closed_form_core, shifted_sum
 
 
 def is_palindromic(p):
@@ -142,6 +145,50 @@ class TestDecompositions:
         assert len(decompose_hermitian(10**4 + 1)) == 5001
 
 
+# every kind, small parameters; vishik_core(3, 1) realizes to zero
+REALIZATION_BASES = (
+    tate(), spec_l(), proj_l(0), proj_l(4), proj_f(3), split_quadric(3),
+    hermitian_quadric(4), core(5), core(6), vishik_core(2, 2), vishik_core(3, 1),
+    pfister_quadric(2),
+)
+
+# shift multisets realize_split must treat alike: repeats, uneven gaps, ladders
+SHIFT_PATTERNS = {
+    "repeated": lambda rng: [rng.randint(0, 4) for _ in range(9)],
+    "repeated_even": lambda rng: [2 * rng.randint(0, 4) for _ in range(9)],
+    "mixed_gaps": lambda rng: [0, 3, 7, 8],
+    "ladder_step_1": lambda rng: list(range(rng.randint(0, 3), 25)),
+    "ladder_step_2": lambda rng: list(range(rng.randint(0, 3), 25, 2)),
+    "ladder_step_3": lambda rng: list(range(rng.randint(0, 3), 25, 3)),
+    "doubled_ladder": lambda rng: 2 * list(range(1, rng.randint(2, 12), 2)),
+    "single": lambda rng: [rng.randint(0, 9)],
+    "empty": lambda rng: [],
+}
+
+
+class TestRealizeSplit:
+    @pytest.mark.parametrize("pattern", sorted(SHIFT_PATTERNS))
+    def test_matches_shifted_sum_oracle(self, pattern):
+        rng = random.Random(SEED)
+        for _ in range(20):
+            summands = [
+                (base, shift)
+                for base in rng.sample(REALIZATION_BASES, rng.randint(1, 3))
+                for shift in SHIFT_PATTERNS[pattern](rng)
+            ]
+            expected = shifted_sum(
+                (realize_base(base).coefficients, shift) for base, shift in summands
+            )
+            got = realize_split(MotiveExpression.of(*summands))
+            assert list(got.coefficients) == expected, summands
+
+    def test_single_summand_and_empty(self):
+        assert realize_split(MotiveExpression.of()) == IntPolynomial()
+        assert realize_split(MotiveExpression.of((proj_l(2), 3))).coefficients == (
+            0, 0, 0, 2, 2, 2,
+        )
+
+
 class TestCore:
     def test_golden_values(self):
         assert solve_core(2).coefficients == (1, 1)
@@ -159,6 +206,7 @@ class TestCore:
         assert all(c >= 0 for c in p.coefficients)
         assert is_palindromic(p)
         assert p.evaluate(1) == (n if n % 2 == 0 else n - 1)
+        assert p.coefficients == tuple(closed_form_core(n))
 
 
 class TestKrashenIdentity:
@@ -191,11 +239,18 @@ class TestKrashenIdentity:
         for table in tables:
             assert table.cache_info().currsize <= RANK_MEMO_SIZE
 
-    def test_memo_serves_one_rank(self):
-        # the ladder realizes proj_l(n - 1) n - 2 times: one miss, then hits
+    def test_ladder_base_realized_once(self):
+        # the ladder holds proj_l(n - 1) n - 2 times; realize_split realizes it once
         poincare_projective.cache_clear()
         verify_krashen(300)
-        assert poincare_projective.cache_info().hits >= 297
+        info = poincare_projective.cache_info()
+        assert info.hits + info.misses <= 1
+
+    @pytest.mark.parametrize("n", [10**4 + 1, 10**4 + 2])
+    def test_at_the_ladder_limit(self, n):
+        # the two largest accepted ranks, one of each parity
+        assert solve_core(n).coefficients == tuple(closed_form_core(n))
+        assert verify_krashen(n).holds
 
 
 class TestVishik:

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 import hermquad.poly
 
-from hermquad.errors import DivisionByZero, InvalidRank, NonExactDivision
+from hermquad.errors import DivisionByZero, InputTooLarge, InvalidRank, NonExactDivision
 from hermquad.poly import (
+    CLOSED_FORM_LIMIT,
     IntPolynomial,
     exact_div,
     poincare_projective,
@@ -105,6 +106,21 @@ class TestPoincareConstructors:
             poincare_projective(-1, 1)
         with pytest.raises(InvalidRank):
             poincare_projective(3, 3)
+
+    def test_closed_form_limit(self, monkeypatch):
+        # the first rank of each form that needs t^(CLOSED_FORM_LIMIT + 1)
+        for too_large in (
+            lambda: poincare_split_quadric(CLOSED_FORM_LIMIT + 1),
+            lambda: poincare_split_hermitian(CLOSED_FORM_LIMIT + 1),
+            lambda: poincare_projective(CLOSED_FORM_LIMIT, 2),
+        ):
+            with pytest.raises(InputTooLarge):
+                too_large()
+        # the limit itself is accepted, checked on a small stand-in value
+        monkeypatch.setattr(hermquad.poly, "CLOSED_FORM_LIMIT", 5)
+        assert hermquad.poly._one_minus_power(5).coefficients == (1, 0, 0, 0, 0, -1)
+        with pytest.raises(InputTooLarge):
+            hermquad.poly._one_minus_power(6)
 
     @pytest.mark.parametrize("n", range(2, 201))
     def test_values_at_one(self, n):
